@@ -127,7 +127,8 @@ const (
 // Ctx is a callback's window onto the vertex it is visiting: its identity,
 // its local state for the running program, and the emission primitives
 // (update_nbrs / update_single_nbr of Algorithm 3). A Ctx is only valid
-// for the duration of one callback invocation.
+// for the duration of one callback invocation: it is owned by the rank and
+// reused for the next callback, so a program must not retain the pointer.
 type Ctx struct {
 	r    *rank
 	algo uint8

@@ -101,6 +101,13 @@ type rank struct {
 	// tune is the rank's feedback controller (nil unless Options.AutoTune).
 	tune *tuner
 
+	// cbCtx holds the callback context for each view (live, prev), reused
+	// by every callback (see ctx).
+	cbCtx [2]Ctx
+	// removals counts edges this rank's own store removed; handleUpdate's
+	// live-edge guard only probes once it is non-zero.
+	removals uint64
+
 	// pub is this rank's single-writer handle onto the MVCC read plane
 	// (nil unless Options.Serve and the rank is local): mutation handlers
 	// mirror adjacency changes into it, and publishChores swaps in a fresh
@@ -711,7 +718,7 @@ func (r *rank) visit(wp WitnessProgram, algo uint8, slot graph.Slot,
 	if lanes := r.witMask[algo][slot]; lanes != 0 {
 		r.witMask[algo][slot] = 0
 		ctx := r.ctx(algo, slot, id, seq, viewLive)
-		wp.Reseed(&ctx, lanes)
+		wp.Reseed(ctx, lanes)
 	}
 	val := r.values[algo][slot]
 	r.store.Neighbors(slot, func(nbr graph.VertexID, w graph.Weight) bool {
@@ -758,7 +765,7 @@ func (r *rank) handleInvalidate(ev *Event) {
 	}
 	before := r.values[ev.Algo][slot]
 	ctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive)
-	r.eng.programs[ev.Algo].OnUpdate(&ctx, ev.From, ev.Val, w)
+	r.eng.programs[ev.Algo].OnUpdate(ctx, ev.From, ev.Val, w)
 	r.recordWitness(wp, ev, slot, before)
 }
 
@@ -852,8 +859,16 @@ func (r *rank) dualRun(seq uint32, algo uint8) bool {
 	return snap != nil && seq < snap.marker && int(algo) == snap.Algo
 }
 
-func (r *rank) ctx(algo uint8, slot graph.Slot, id graph.VertexID, seq uint32, v view) Ctx {
-	return Ctx{r: r, algo: algo, slot: slot, id: id, seq: seq, view: v}
+// ctx fills and returns the rank-owned callback context for view v. The
+// pointer stays valid only until the next ctx call for the same view, which
+// is all a callback needs: callbacks never nest (visit's Reseed finishes
+// before its caller builds the handler's own context), and a dual-run
+// handler's live and previous-version contexts live in separate entries.
+// Reusing rank storage keeps the per-callback path allocation-free.
+func (r *rank) ctx(algo uint8, slot graph.Slot, id graph.VertexID, seq uint32, v view) *Ctx {
+	c := &r.cbCtx[v]
+	*c = Ctx{r: r, algo: algo, slot: slot, id: id, seq: seq, view: v}
+	return c
 }
 
 func (r *rank) handleAdd(ev *Event) {
@@ -864,10 +879,10 @@ func (r *rank) handleAdd(ev *Event) {
 	r.mirrorAdd(slot, ev.From, ev.W, isNew)
 	for a := range r.eng.programs {
 		ctx := r.ctx(uint8(a), slot, ev.To, ev.Seq, viewLive)
-		r.eng.programs[a].OnAdd(&ctx, ev.From, ev.W)
+		r.eng.programs[a].OnAdd(ctx, ev.From, ev.W)
 		if r.dualRun(ev.Seq, uint8(a)) {
 			pctx := r.ctx(uint8(a), slot, ev.To, ev.Seq, viewPrev)
-			r.eng.programs[a].OnAdd(&pctx, ev.From, ev.W)
+			r.eng.programs[a].OnAdd(pctx, ev.From, ev.W)
 		}
 	}
 	if r.eng.opts.Undirected {
@@ -932,13 +947,13 @@ func (r *rank) handleReverseAdd(ev *Event) {
 		before = r.values[ev.Algo][slot]
 	}
 	ctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive)
-	p.OnReverseAdd(&ctx, ev.From, ev.Val, ev.W)
+	p.OnReverseAdd(ctx, ev.From, ev.Val, ev.W)
 	if wp != nil {
 		r.recordWitness(wp, ev, slot, before)
 	}
 	if r.dualRun(ev.Seq, ev.Algo) {
 		pctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev)
-		p.OnReverseAdd(&pctx, ev.From, ev.Val, ev.W)
+		p.OnReverseAdd(pctx, ev.From, ev.Val, ev.W)
 	}
 }
 
@@ -954,7 +969,7 @@ func (r *rank) handleReverseAddPrev(ev *Event) {
 		return
 	}
 	pctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev)
-	r.eng.programs[ev.Algo].OnReverseAdd(&pctx, ev.From, ev.Val, ev.W)
+	r.eng.programs[ev.Algo].OnReverseAdd(pctx, ev.From, ev.Val, ev.W)
 }
 
 func (r *rank) handleUpdate(ev *Event) {
@@ -967,15 +982,27 @@ func (r *rank) handleUpdate(ev *Event) {
 	}
 	p := r.eng.programs[ev.Algo]
 	wp := r.eng.witness[ev.Algo]
+	w := ev.W
 	if wp != nil {
 		// Live-edge guard: under deletions a value may only be accepted
 		// over an edge that still exists — an UPDATE that raced the
 		// deletion of its own edge would smuggle the doomed value back in.
 		// (Witness programs run undirected, so the reverse edge is always
 		// locally visible; this guard is why directed mode keeps witness
-		// deletion off.)
-		if _, present := r.store.EdgeWeight(slot, ev.From); !present {
-			return
+		// deletion off.) The value is applied over the edge's local weight,
+		// as handleInvalidate does: an UPDATE sent over an incarnation of
+		// the edge that was since deleted and re-added carries the old
+		// incarnation's weight. Until this rank removes an edge neither
+		// race exists: the only UPDATE the probe could reject is one its
+		// sender's OnAdd emitted ahead of the REVERSE_ADD that inserts the
+		// edge here next, so add-only ranks skip the probe (DESIGN.md
+		// "Deletions").
+		if r.removals != 0 {
+			lw, present := r.store.EdgeWeight(slot, ev.From)
+			if !present {
+				return
+			}
+			w = lw
 		}
 		if gen := r.genOf(ev.Algo, slot); ev.Gen < gen {
 			// Stale generation: the value may predate our invalidation.
@@ -1000,13 +1027,13 @@ func (r *rank) handleUpdate(ev *Event) {
 		before = r.values[ev.Algo][slot]
 	}
 	ctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive)
-	p.OnUpdate(&ctx, ev.From, ev.Val, ev.W)
+	p.OnUpdate(ctx, ev.From, ev.Val, w)
 	if wp != nil {
 		r.recordWitness(wp, ev, slot, before)
 	}
 	if r.dualRun(ev.Seq, ev.Algo) {
 		pctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev)
-		p.OnUpdate(&pctx, ev.From, ev.Val, ev.W)
+		p.OnUpdate(pctx, ev.From, ev.Val, w)
 	}
 }
 
@@ -1022,7 +1049,7 @@ func (r *rank) handleInit(ev *Event) {
 		before = r.values[ev.Algo][slot]
 	}
 	ctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive)
-	p.Init(&ctx)
+	p.Init(ctx)
 	if wp != nil {
 		// Init progress is self-supported (the paper's external
 		// instantiation, not an edge traversal): no edge deletion may ever
@@ -1031,7 +1058,7 @@ func (r *rank) handleInit(ev *Event) {
 	}
 	if r.dualRun(ev.Seq, ev.Algo) {
 		pctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev)
-		p.Init(&pctx)
+		p.Init(pctx)
 	}
 }
 
@@ -1040,6 +1067,7 @@ func (r *rank) handleDelete(ev *Event) {
 	if !removed {
 		return
 	}
+	r.removals++
 	// The source vertex normally still exists after the removal (the store
 	// never deletes vertices), but a slot without grown state arrays — or
 	// no slot at all — must not index another vertex's value: run the
@@ -1063,7 +1091,7 @@ func (r *rank) handleDelete(ev *Event) {
 				continue
 			}
 			ctx := r.ctx(uint8(a), slot, ev.To, ev.Seq, viewLive)
-			da.OnDelete(&ctx, ev.From, ev.W)
+			da.OnDelete(ctx, ev.From, ev.W)
 		}
 	}
 	if r.eng.opts.Undirected {
@@ -1084,11 +1112,14 @@ func (r *rank) handleDelete(ev *Event) {
 
 func (r *rank) handleReverseDelete(ev *Event) {
 	removed := r.store.DeleteEdge(ev.To, ev.From)
-	if removed && r.pub != nil {
+	if removed {
+		r.removals++
 		// Mirror before the program-level early returns: the reverse edge
 		// is gone from the store regardless of what the programs do.
-		if slot, ok := r.store.SlotOf(ev.To); ok {
-			r.pub.EdgeDeleted(slot, ev.From)
+		if r.pub != nil {
+			if slot, ok := r.store.SlotOf(ev.To); ok {
+				r.pub.EdgeDeleted(slot, ev.From)
+			}
 		}
 	}
 	if !removed || ev.Algo == NoAlgo {
@@ -1105,7 +1136,7 @@ func (r *rank) handleReverseDelete(ev *Event) {
 	}
 	if da, isDA := r.eng.programs[ev.Algo].(DeleteAware); isDA {
 		ctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive)
-		da.OnReverseDelete(&ctx, ev.From, ev.Val, ev.W)
+		da.OnReverseDelete(ctx, ev.From, ev.Val, ev.W)
 	}
 }
 
@@ -1124,14 +1155,14 @@ func (r *rank) handleSignal(ev *Event) {
 		before = r.values[ev.Algo][slot]
 	}
 	ctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive)
-	sa.OnSignal(&ctx, ev.Val)
+	sa.OnSignal(ctx, ev.Val)
 	if wp != nil {
 		// Signal progress is external input, self-supported like Init.
 		r.clearWitness(wp, ev.Algo, slot, before)
 	}
 	if r.dualRun(ev.Seq, ev.Algo) {
 		pctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev)
-		sa.OnSignal(&pctx, ev.Val)
+		sa.OnSignal(pctx, ev.Val)
 	}
 }
 

@@ -68,10 +68,13 @@ type TCPTransport struct {
 	bootErr   error
 	preExt    []Event
 
-	// decided flips once the termination protocol concluded (TERMINATE
-	// sent or received); closing marks teardown.
-	decided atomic.Bool
-	closing atomic.Bool
+	// decided flips once the termination protocol concluded and this
+	// node's TERMINATE frames (sent or echoed) are queued; local ranks may
+	// finish only after it. echoOnce guards a follower's echo. closing
+	// marks teardown.
+	decided  atomic.Bool
+	echoOnce sync.Once
+	closing  atomic.Bool
 	// kick nudges the coordinator's detector when a local rank finds the
 	// node quiescent; reports carries probe answers to it.
 	kick     chan struct{}
@@ -868,7 +871,7 @@ func (t *TCPTransport) handleFrame(p *tcpPeer, ver uint8, ft frameType, payload 
 		}
 		t.e.flight.note("terminate", p.node, "received", seq, 0)
 		t.pushFinalStats()
-		if !t.decided.Swap(true) {
+		t.echoOnce.Do(func() {
 			// Echo the decision on every other connection before teardown
 			// begins. In a >=3-node mesh the coordinator's TERMINATE to a
 			// peer races this node's exit: the peer would otherwise see our
@@ -881,7 +884,10 @@ func (t *TCPTransport) handleFrame(p *tcpPeer, ver uint8, ft frameType, payload 
 					pp.q.push(frameTerminate, appendU64Payload(nil, seq), false)
 				}
 			}
-		}
+		})
+		// Stored after the echoes are queued (Do returns only once they
+		// are), for the same reason the coordinator stores it last.
+		t.decided.Store(true)
 		t.e.finishFromTransport()
 	case frameAck:
 		cum, err := parseU64Payload(payload)
@@ -1030,7 +1036,6 @@ func (t *TCPTransport) detect() {
 		if !ok || !reportsConsistent(r2) || !reportsEqual(r1, r2) {
 			continue
 		}
-		t.decided.Store(true)
 		t.e.flight.note("terminate", -1, "decided", t.probeSeq, 0)
 		t.pushFinalStats()
 		for _, p := range t.peers {
@@ -1038,6 +1043,10 @@ func (t *TCPTransport) detect() {
 				p.q.push(frameTerminate, appendU64Payload(nil, t.probeSeq), false)
 			}
 		}
+		// Only now may local ranks act on the decision: a rank that saw it
+		// earlier could finish the engine, and teardown would close the
+		// queues ahead of the two pushes above, leaving followers a bare EOF.
+		t.decided.Store(true)
 		t.e.finishFromTransport()
 		return
 	}

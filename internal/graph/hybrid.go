@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Hybrid CSR-delta storage tier (the RisGraph/DegAwareRHH idea): each
 // vertex's cold edge bulk lives in an immutable, Nbr-sorted segment —
@@ -130,7 +133,7 @@ func (s *Store) CompactSlot(slot Slot) bool {
 	} else {
 		delta = append(delta, a.small...)
 	}
-	sort.Slice(delta, func(i, j int) bool { return delta[i].Nbr < delta[j].Nbr })
+	slices.SortFunc(delta, func(x, y HalfEdge) int { return cmp.Compare(x.Nbr, y.Nbr) })
 	merged := make([]HalfEdge, 0, len(a.seg)+len(delta))
 	i, j := 0, 0
 	for i < len(a.seg) && j < len(delta) {

@@ -245,6 +245,34 @@ func TestMutationSkipInvalidateCaught(t *testing.T) {
 	t.Logf("skip-invalidate mutation caught in %d of 25 seeds (%d deletes streamed)", matched, deletes)
 }
 
+// TestSimStaleIncarnationWeight replays the sweep runs that caught an
+// UPDATE applied over the weight of a dead edge incarnation: a vertex
+// offered its value over an edge whose pair was deleted and re-added with
+// a different weight before the UPDATE arrived. The receiver found the
+// pair present again and accepted the value over the old, better weight,
+// ending below the oracle (SSSP) or above it (widest path). The receiver
+// now applies the value over its local weight.
+func TestSimStaleIncarnationWeight(t *testing.T) {
+	for _, line := range []string{
+		"algo=widest,graph=845,sched=6699496,ranks=2,coalesce=on,serve=on,deletes=8",
+		"algo=widest,graph=845,sched=6699496,ranks=2,coalesce=off,serve=on,deletes=8",
+		"algo=sssp,graph=931,sched=7376529,ranks=4,coalesce=on,serve=on,deletes=4",
+		"algo=sssp,graph=931,sched=7376529,ranks=4,coalesce=off,serve=on,deletes=4",
+	} {
+		cfg, err := ParseReplay(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := Run(cfg)
+		if res.Deletes == 0 {
+			t.Errorf("%s: no deletes streamed", line)
+		}
+		for _, v := range res.Violations {
+			t.Errorf("%s: %s", line, v)
+		}
+	}
+}
+
 // TestParseReplayRoundTrip pins the artifact line format.
 func TestParseReplayRoundTrip(t *testing.T) {
 	f := SweepFailure{Cfg: Config{Algo: Widest, GraphSeed: 3, ScheduleSeed: 7, Ranks: 4, NoCoalesce: true, Serve: true}}
