@@ -547,6 +547,22 @@ func (e *Engine) labelSeq(ev *Event) {
 	}
 }
 
+// retire removes n events from in-flight ring slot i. When the slot drains
+// to zero a version may have drained: snapshots, idle ranks awaiting
+// termination or the pause barrier, and quiescence waiters all need to
+// know.
+func (e *Engine) retire(i int, n int64) {
+	if e.inflight[i].Add(-n) != 0 {
+		return
+	}
+	if snap := e.activeSnap.Load(); snap != nil && uint32(i) == (snap.marker-1)&3 {
+		e.wakeAll()
+	} else if e.streamsLeft.Load() == 0 || e.ingestHalted() {
+		e.wakeAll()
+	}
+	e.signalQuiesce()
+}
+
 // nextGen mints a globally fresh witness generation, strictly above every
 // generation any already-emitted event carries. An unsafe deletion's reset
 // takes one per affected vertex; the fresh generation is what breaks

@@ -22,14 +22,15 @@ func (t *TCPTransport) SetDropFrames(fn func(peerNode int, frame string) bool) {
 // self-delivery ring — the event plus the local part of its cascade, as
 // the rank loop would process them — on an engine that was never started.
 // On a one-rank engine that is the whole cascade. It returns the number of
-// events processed. In-flight counters are not settled: nothing waits on
-// them before Start.
+// events processed. The per-event tallies are published; in-flight counters
+// are not settled: nothing waits on them before Start.
 func (e *Engine) Step(i int, ev Event) int {
 	r := e.ranks[i]
 	before := r.counters.totalEvents()
 	r.process(&ev)
 	r.drainSelf()
-	r.pendingDec = [4]int64{}
+	r.publishTally()
+	r.pendingInc, r.pendingDec = [4]int64{}, [4]int64{}
 	return int(r.counters.totalEvents() - before)
 }
 

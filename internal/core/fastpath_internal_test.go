@@ -42,10 +42,11 @@ func TestCoalesceOutboundBuffer(t *testing.T) {
 	if got := r.out[1][0].Val; got != 4 {
 		t.Fatalf("combined value = %d, want 4", got)
 	}
-	if got := r.counters.combinedAway.Load(); got != 1 {
+	if got := r.tally.combinedAway; got != 1 {
 		t.Fatalf("combinedAway = %d, want 1", got)
 	}
-	if got := e.inflight[0].Load(); got != 1 {
+	// Registered = published ring count plus the rank's batched increments.
+	if got := e.inflight[0].Load() + r.pendingInc[0]; got != 1 {
 		t.Fatalf("inflight = %d, want 1 (merged event never registered)", got)
 	}
 

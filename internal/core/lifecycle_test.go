@@ -333,3 +333,38 @@ func TestLifecycleBeforeStartErrors(t *testing.T) {
 		t.Fatalf("state = %v", e.State())
 	}
 }
+
+// TestLifecyclePauseRacesStreamPull: Pause issued while a rank is pulling
+// from its live stream must always complete. A rank used to read the halt
+// flags before registering the pulled event, so a pull could slip in after
+// its peer had parked on a quiescent ring; the cascade then waited forever
+// on the parked peer (TestLifecycleConcurrentTransitions hung that way in
+// a fraction of runs).
+func TestLifecyclePauseRacesStreamPull(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		live := stream.NewChan()
+		e := core.New(core.Options{Ranks: 2, Undirected: true}, algo.CC{})
+		if err := e.Start([]stream.Stream{live}); err != nil {
+			t.Fatal(err)
+		}
+		for _, ed := range gen.Star(200) {
+			live.PushEdge(ed)
+		}
+		paused := make(chan error, 1)
+		go func() { paused <- e.Pause() }()
+		select {
+		case err := <-paused:
+			if err != nil {
+				t.Fatalf("run %d: Pause: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run %d: Pause did not return (in flight %d)", i, e.EngineStats().InFlight)
+		}
+		if !e.Quiescent() {
+			t.Fatalf("run %d: paused engine is not quiescent", i)
+		}
+		if err := e.Stop(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -69,15 +69,23 @@ type rank struct {
 	qmu     sync.Mutex
 	queries []queryReq
 
-	// pendingDec batches in-flight decrements per ring slot for one
-	// processed batch; applied after the whole batch (and thus after all
-	// child emissions), so the counters can never falsely reach zero.
+	// pendingInc and pendingDec batch this rank's in-flight increments
+	// (emissions) and decrements (processed events) per ring slot. The
+	// increments are published before any event leaves the rank (flush)
+	// and before the decrements are applied, which happens once per
+	// processed batch (applyDecrements). Every unpublished increment
+	// belongs to a child whose parent's decrement is still pending here,
+	// so the shared ring can never falsely reach zero (DESIGN.md
+	// "In-flight accounting").
+	pendingInc [4]int64
 	pendingDec [4]int64
 
 	// counters is the rank's always-on instrumentation block (written only
-	// by this rank, read by EngineStats from anywhere); trace is the
-	// optional postmortem event ring (nil unless Options.TraceDepth > 0).
+	// by this rank, read by EngineStats from anywhere); tally holds the
+	// per-event counts not yet published into it (publishTally). trace is
+	// the optional postmortem event ring (nil unless Options.TraceDepth > 0).
 	counters *rankCounters
+	tally    rankTally
 	trace    *traceRing
 
 	// lat is the rank's latency-histogram block (hist.go). sampleLeft
@@ -300,6 +308,8 @@ func (r *rank) publishChores() {
 
 // publishNow builds and swaps in this rank's segment (see serve.Publisher;
 // no-ops into a restamp when no event was processed since the last one).
+// It runs only between batches, after applyDecrements has published the
+// event tallies, so the mutation clock totalEvents is current.
 func (r *rank) publishNow() {
 	if r.pub == nil {
 		return
@@ -356,40 +366,33 @@ func (r *rank) pullStream() bool {
 // nextTopoEvent pulls one topology event from the rank's stream and turns
 // it into a labeled, in-flight-registered engine event, without delivering
 // it (pullStream delivers; the sim driver delivers under its own schedule).
+//
+// The event is registered before the halt flags are read and the stream is
+// pulled, and the registration is withdrawn if nothing comes of it. A rank
+// that parks (or finishes) does so on reading a pause (stop) request and
+// then a quiescent ring; so either it sees this registration, or this rank
+// sees the request and pulls nothing. Checking the flags first would let a
+// pull slip in after another rank parked, leaving work for a parked rank.
 func (r *rank) nextTopoEvent() (Event, bool) {
-	if r.streamDone || r.eng.ingestHalted() {
+	if r.streamDone {
 		return Event{}, false
 	}
-	var ev graph.EdgeEvent
-	if live, isLive := r.stream.(stream.Live); isLive {
-		var ok, closed bool
-		ev, ok, closed = live.TryNext()
-		if !ok {
-			if closed {
-				r.streamDone = true
-				r.eng.streamsLeft.Add(-1)
-			}
-			return Event{}, false
-		}
-	} else {
-		var ok bool
-		ev, ok = r.stream.Next()
-		if !ok {
-			r.streamDone = true
-			r.eng.streamsLeft.Add(-1)
-			return Event{}, false
-		}
+	// Labeled with the current snapshot sequence via the same guarded loop
+	// as external emissions.
+	var reg Event
+	r.eng.labelSeq(&reg)
+	ev, ok := r.pullEdge()
+	if !ok {
+		r.eng.retire(int(reg.Seq&3), 1)
+		return Event{}, false
 	}
 	kind := KindAdd
 	if ev.Delete {
 		kind = KindDelete
 	}
 	// Route to the owner of the edge source (§III-C: the directed edge is
-	// co-located with its source vertex). The event is labeled with the
-	// current snapshot sequence via the same guarded loop as external
-	// emissions.
-	out := Event{Kind: kind, Algo: NoAlgo, To: ev.Src, From: ev.Dst, W: ev.W}
-	r.eng.labelSeq(&out)
+	// co-located with its source vertex).
+	out := Event{Kind: kind, Algo: NoAlgo, Seq: reg.Seq, To: ev.Src, From: ev.Dst, W: ev.W}
 	// Counted only after the in-flight increment: once Ingested() reports
 	// n, all n events are either in flight or fully processed, so
 	// Ingested()==pushed && Quiescent() is a sound "drained" check.
@@ -406,19 +409,42 @@ func (r *rank) nextTopoEvent() (Event, bool) {
 	return out, true
 }
 
+// pullEdge reads the next edge event from the rank's stream unless
+// ingestion is halted, marking the stream done when it reports its end.
+func (r *rank) pullEdge() (graph.EdgeEvent, bool) {
+	if r.eng.ingestHalted() {
+		return graph.EdgeEvent{}, false
+	}
+	if live, isLive := r.stream.(stream.Live); isLive {
+		ev, ok, closed := live.TryNext()
+		if closed && !ok {
+			r.streamDone = true
+			r.eng.streamsLeft.Add(-1)
+		}
+		return ev, ok
+	}
+	ev, ok := r.stream.Next()
+	if !ok {
+		r.streamDone = true
+		r.eng.streamsLeft.Add(-1)
+	}
+	return ev, ok
+}
+
 // emit routes a callback-generated event; the child inherits its parent's
 // snapshot sequence (§III-D), which the caller already set. A combinable
 // UPDATE first tries to merge into a same-key UPDATE still sitting in the
 // destination's buffer — a merged event is dropped before the in-flight
 // increment, so the ring counters stay exact with no extra bookkeeping.
-// Otherwise the in-flight increment happens before the parent's (batched)
-// decrement, so the ring counter cannot falsely reach zero.
+// Otherwise the increment is batched in pendingInc, published before the
+// event can leave the rank and before the parent's (batched) decrement, so
+// the ring counter cannot falsely reach zero.
 func (r *rank) emit(ev Event) {
-	r.counters.cascadeEmits.Add(1)
+	r.tally.cascadeEmits++
 	dest := r.eng.part.Owner(ev.To)
 	if ev.Kind == KindUpdate && r.coal.combinable(ev.Algo) {
 		if merged, into := r.coal.combineInto(r, dest, &ev); merged {
-			r.counters.combinedAway.Add(1)
+			r.tally.combinedAway++
 			// The merged event joins its lineage as a leaf (never delivered,
 			// so no pending count) — CombinedAway, explained per event.
 			if r.curTrace != 0 {
@@ -432,7 +458,7 @@ func (r *rank) emit(ev Event) {
 		if r.curTrace != 0 {
 			ev.Trace = r.eng.traces.child(r.curTrace, &ev, r.id, r.proc)
 		}
-		r.eng.inflight[ev.Seq&3].Add(1)
+		r.pendingInc[ev.Seq&3]++
 		if pos := r.deliver(dest, ev); pos >= 0 {
 			r.coal.remember(dest, &ev, pos)
 		}
@@ -441,7 +467,7 @@ func (r *rank) emit(ev Event) {
 	if r.curTrace != 0 {
 		ev.Trace = r.eng.traces.child(r.curTrace, &ev, r.id, r.proc)
 	}
-	r.eng.inflight[ev.Seq&3].Add(1)
+	r.pendingInc[ev.Seq&3]++
 	r.deliver(dest, ev)
 }
 
@@ -456,7 +482,7 @@ func (r *rank) deliver(dest int, ev Event) int {
 		r.coal.barrier(dest)
 	}
 	if dest == r.id {
-		r.counters.selfDelivered.Add(1)
+		r.tally.selfDelivered++
 		r.self = append(r.self, ev)
 		return len(r.self) - 1
 	}
@@ -515,6 +541,9 @@ func (r *rank) flush(dest int) {
 	if len(r.out[dest]) == 0 {
 		return
 	}
+	// The batch's registrations must be visible before the receiver (or,
+	// over TCP, releaseInflight) can retire any of its events.
+	r.publishInc()
 	// Flush-interval probe: one clock read per non-empty flush (already
 	// amortized over the whole outbound batch, like the traffic counters
 	// below).
@@ -552,21 +581,47 @@ func (r *rank) flushAll() {
 	}
 }
 
+// publishInc adds the batched in-flight increments to the shared ring.
+func (r *rank) publishInc() {
+	for i, n := range r.pendingInc {
+		if n != 0 {
+			r.pendingInc[i] = 0
+			r.eng.inflight[i].Add(n)
+		}
+	}
+}
+
+// publishTally folds the rank's unpublished per-event counts into its
+// atomic counter block, where EngineStats and the metrics plane read them.
+func (r *rank) publishTally() {
+	t := &r.tally
+	for k, n := range t.events {
+		if n != 0 {
+			r.counters.events[k].Add(n)
+		}
+	}
+	if t.cascadeEmits != 0 {
+		r.counters.cascadeEmits.Add(t.cascadeEmits)
+	}
+	if t.selfDelivered != 0 {
+		r.counters.selfDelivered.Add(t.selfDelivered)
+	}
+	if t.combinedAway != 0 {
+		r.counters.combinedAway.Add(t.combinedAway)
+	}
+	*t = rankTally{}
+}
+
+// applyDecrements settles one processed batch: it publishes the batch's
+// increments and tallies first, then retires its events from the ring, so
+// a reader that observes quiescence also observes exact counters.
 func (r *rank) applyDecrements() {
-	for i := range r.pendingDec {
-		if n := r.pendingDec[i]; n != 0 {
+	r.publishInc()
+	r.publishTally()
+	for i, n := range r.pendingDec {
+		if n != 0 {
 			r.pendingDec[i] = 0
-			if r.eng.inflight[i].Add(-n) == 0 {
-				// A version may just have drained: snapshots, idle ranks
-				// awaiting termination or the pause barrier, and quiescence
-				// waiters all need to know.
-				if snap := r.eng.activeSnap.Load(); snap != nil && uint32(i) == (snap.marker-1)&3 {
-					r.eng.wakeAll()
-				} else if r.eng.streamsLeft.Load() == 0 || r.eng.ingestHalted() {
-					r.eng.wakeAll()
-				}
-				r.eng.signalQuiesce()
-			}
+			r.eng.retire(i, n)
 		}
 	}
 }
@@ -800,10 +855,10 @@ func (r *rank) witnessDelete(wp WitnessProgram, algo uint8, slot graph.Slot, ev 
 
 // process dispatches one event. The in-flight decrement is batched in
 // pendingDec and applied by the caller after the whole batch. The per-kind
-// counter add is the hot path's entire instrumentation cost: one
-// uncontended atomic add on a rank-owned cache line.
+// tally increment is the hot path's entire instrumentation cost: a plain
+// add on a rank-owned field, published once per batch (publishTally).
 func (r *rank) process(ev *Event) {
-	r.counters.events[ev.Kind].Add(1)
+	r.tally.events[ev.Kind]++
 	if r.trace != nil {
 		r.trace.record(r.id, ev)
 	}
@@ -871,12 +926,19 @@ func (r *rank) ctx(algo uint8, slot graph.Slot, id graph.VertexID, seq uint32, v
 	return c
 }
 
-func (r *rank) handleAdd(ev *Event) {
+// insertEdge adds the half-edge ev.To→ev.From to the store and the serve
+// mirror, growing the state arrays for a newly created vertex.
+func (r *rank) insertEdge(ev *Event) graph.Slot {
 	slot, created, isNew := r.store.AddEdge(ev.To, ev.From, ev.W, ev.Seq)
 	if created {
 		r.growValues(slot)
 	}
 	r.mirrorAdd(slot, ev.From, ev.W, isNew)
+	return slot
+}
+
+func (r *rank) handleAdd(ev *Event) {
+	slot := r.insertEdge(ev)
 	for a := range r.eng.programs {
 		ctx := r.ctx(uint8(a), slot, ev.To, ev.Seq, viewLive)
 		r.eng.programs[a].OnAdd(ctx, ev.From, ev.W)
@@ -890,8 +952,9 @@ func (r *rank) handleAdd(ev *Event) {
 		// the destination's owner (§III-C): the reverse edge exists
 		// before any later event can traverse it. One reverse-add per
 		// program carries that program's source-vertex value (Algorithm 3
-		// queues this.value); with no programs a topology-only
-		// notification is sent.
+		// queues this.value), and program 0's, sent first, inserts the
+		// reverse half; with no programs a topology-only notification is
+		// sent.
 		if len(r.eng.programs) == 0 {
 			r.emit(Event{Kind: KindReverseAdd, Algo: NoAlgo, Seq: ev.Seq,
 				To: ev.From, From: ev.To, W: ev.W})
@@ -913,19 +976,29 @@ func (r *rank) handleAdd(ev *Event) {
 	}
 }
 
+// handleReverseAdd runs one program's half of an undirected edge
+// insertion at the second endpoint. Only the first REVERSE_ADD of the edge
+// (program 0's, or the topology-only NoAlgo one) inserts the reverse half:
+// every topology event of the edge travels stream → owner(a) → owner(b)
+// over FIFO channels (see KindDelete), so nothing can touch the edge
+// between that event and the later programs' REVERSE_ADDs, which only look
+// the vertex up — the same reasoning handleReverseAddPrev relies on.
 func (r *rank) handleReverseAdd(ev *Event) {
-	slot, created, isNew := r.store.AddEdge(ev.To, ev.From, ev.W, ev.Seq)
-	if created {
-		r.growValues(slot)
+	var slot graph.Slot
+	found := false
+	if ev.Algo != 0 && ev.Algo != NoAlgo {
+		slot, found = r.store.SlotOf(ev.To)
 	}
-	r.mirrorAdd(slot, ev.From, ev.W, isNew)
+	if !found {
+		slot = r.insertEdge(ev)
+	}
 	if ev.Algo == NoAlgo {
 		return
 	}
 	p := r.eng.programs[ev.Algo]
 	wp := r.eng.witness[ev.Algo]
 	if wp != nil {
-		// The reverse edge is inserted above regardless, but a carried
+		// The reverse edge is in place regardless, but a carried
 		// value from a generation below ours may be supported by an
 		// already-deleted edge: skip the callback and solicit a re-offer
 		// instead (the value exchange this edge owes still happens, under
@@ -1110,15 +1183,28 @@ func (r *rank) handleDelete(ev *Event) {
 	}
 }
 
+// handleReverseDelete runs one program's half of an undirected edge
+// deletion at the second endpoint. As with REVERSE_ADD, only the first
+// REVERSE_DELETE of the edge (program 0's, or the NoAlgo one) touches the
+// store. The forward DELETE emits them only after removing its half, and
+// by the FIFO argument (see handleReverseAdd) the reverse half is still in
+// place when the first one arrives, so it removes it — except for a
+// self-loop, whose single entry the forward DELETE already took. The later
+// programs' REVERSE_DELETEs therefore run their callbacks unless the edge
+// is a self-loop.
 func (r *rank) handleReverseDelete(ev *Event) {
-	removed := r.store.DeleteEdge(ev.To, ev.From)
-	if removed {
-		r.removals++
-		// Mirror before the program-level early returns: the reverse edge
-		// is gone from the store regardless of what the programs do.
-		if r.pub != nil {
-			if slot, ok := r.store.SlotOf(ev.To); ok {
-				r.pub.EdgeDeleted(slot, ev.From)
+	removed := ev.To != ev.From
+	if ev.Algo == 0 || ev.Algo == NoAlgo {
+		removed = r.store.DeleteEdge(ev.To, ev.From)
+		if removed {
+			r.removals++
+			// Mirror before the program-level early returns: the reverse
+			// edge is gone from the store regardless of what the programs
+			// do.
+			if r.pub != nil {
+				if slot, ok := r.store.SlotOf(ev.To); ok {
+					r.pub.EdgeDeleted(slot, ev.From)
+				}
 			}
 		}
 	}

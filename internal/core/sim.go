@@ -24,6 +24,9 @@ import (
 // QueryLocal, WriteCheckpoint) are always consistent.
 type SimDriver struct {
 	e *Engine
+	// inHand counts the events the current micro-step has taken out of a
+	// mailbox lane or self ring and not yet retired (see InHand).
+	inHand int
 }
 
 // StartSim places the engine under manual single-goroutine control with
@@ -122,9 +125,11 @@ func (d *SimDriver) DrainLane(rank, lane int, fn func(ev Event)) int {
 		if fn != nil {
 			fn(batch[i])
 		}
+		d.inHand = len(batch) - i
 		r.process(&batch[i])
 		r.applyDecrements()
 	}
+	d.inHand = 0
 	return len(batch)
 }
 
@@ -139,7 +144,10 @@ func (d *SimDriver) SelfPending(rank int) int {
 // invoking fn (if non-nil) with it first.
 func (d *SimDriver) StepSelf(rank int, fn func(ev Event)) bool {
 	r := d.e.ranks[rank]
-	if !r.drainSelfOne(fn) {
+	d.inHand = 1
+	ok := r.drainSelfOne(fn)
+	d.inHand = 0
+	if !ok {
 		return false
 	}
 	r.applyDecrements()
@@ -192,6 +200,7 @@ func (d *SimDriver) InflightTotal() int64 {
 // BufferedEvents counts every event currently sitting in a mailbox lane,
 // an outbound buffer, or a self ring. Between micro-steps this must equal
 // InflightTotal — the in-flight-ring conservation invariant.
+// Mid-step, at a flush, InflightTotal must equal BufferedEvents + InHand.
 func (d *SimDriver) BufferedEvents() int {
 	n := 0
 	for _, r := range d.e.ranks {
@@ -205,6 +214,11 @@ func (d *SimDriver) BufferedEvents() int {
 	}
 	return n
 }
+
+// InHand counts the events the running micro-step has taken out of a
+// mailbox lane or self ring but not yet retired: the event being processed
+// and, for a lane drain, the rest of its batch. It is 0 between steps.
+func (d *SimDriver) InHand() int { return d.inHand }
 
 // SnapSeq reads the engine's current snapshot sequence; no event with a
 // larger label may exist.

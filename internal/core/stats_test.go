@@ -25,16 +25,38 @@ func chainEdges(n int) []graph.Edge {
 
 // TestEngineStatsDeterministicTotals pins the counter plane to a run whose
 // event population is exactly derivable: an undirected ingest of E edges
-// with one hooked program processes E ADDs, E REVERSE_ADDs, and one INIT,
-// plus BFS update cascades — and every event except the external INIT
-// travels through the flush-counted mailbox path.
+// with P hooked programs processes E ADDs, P×E REVERSE_ADDs, and one INIT
+// per initialized program, plus update cascades — and every event except
+// the external INITs travels through the flush-counted mailbox path. The
+// per-event counts are published once per processed batch, so the
+// identities are checked after Wait, when the engine is quiescent.
 func TestEngineStatsDeterministicTotals(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		programs []core.Program
+		inits    map[int]graph.VertexID
+	}{
+		{"bfs", []core.Program{algo.BFS{}}, map[int]graph.VertexID{0: 0}},
+		{"bfs+sssp+cc", []core.Program{algo.BFS{}, algo.SSSP{}, algo.CC{}},
+			map[int]graph.VertexID{0: 0, 1: 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkDeterministicTotals(t, tc.programs, tc.inits)
+		})
+	}
+}
+
+func checkDeterministicTotals(t *testing.T, programs []core.Program, inits map[int]graph.VertexID) {
 	edges := chainEdges(500)
-	e := runDynamic(t, edges, 4, true, map[int]graph.VertexID{0: 0}, algo.BFS{})
+	e := runDynamic(t, edges, 4, true, inits, programs...)
+	rs := e.Wait()
 	es := e.EngineStats()
 
 	if es.State != core.StateStopped {
 		t.Fatalf("state = %s, want stopped", es.State)
+	}
+	if es.InFlight != 0 {
+		t.Fatalf("InFlight = %d after Wait, want 0", es.InFlight)
 	}
 	if es.Ranks != 4 || len(es.PerRank) != 4 {
 		t.Fatalf("ranks = %d / %d per-rank entries", es.Ranks, len(es.PerRank))
@@ -45,12 +67,12 @@ func TestEngineStatsDeterministicTotals(t *testing.T) {
 	if es.Events.Adds != uint64(len(edges)) || es.Events.Topo() != uint64(len(edges)) {
 		t.Fatalf("adds = %d topo = %d, want %d", es.Events.Adds, es.Events.Topo(), len(edges))
 	}
-	if es.Events.ReverseAdds != uint64(len(edges)) {
-		t.Fatalf("reverse adds = %d, want %d (one per edge with one program)",
-			es.Events.ReverseAdds, len(edges))
+	if want := uint64(len(programs) * len(edges)); es.Events.ReverseAdds != want {
+		t.Fatalf("reverse adds = %d, want %d (one per edge per program)",
+			es.Events.ReverseAdds, want)
 	}
-	if es.Events.Inits != 1 {
-		t.Fatalf("inits = %d, want 1", es.Events.Inits)
+	if es.Events.Inits != uint64(len(inits)) {
+		t.Fatalf("inits = %d, want %d", es.Events.Inits, len(inits))
 	}
 	if es.Events.Updates == 0 {
 		t.Fatal("BFS over a path must cascade updates")
@@ -58,7 +80,6 @@ func TestEngineStatsDeterministicTotals(t *testing.T) {
 
 	// Cross-check against the end-of-run Stats: both views read the same
 	// counters, so the totals must agree exactly.
-	rs := e.Wait()
 	if rs.TopoEvents != es.Events.Topo() || rs.AlgoEvents != es.Events.Algo() ||
 		rs.TotalEvents != es.Events.Total() {
 		t.Fatalf("Wait stats %d/%d/%d != EngineStats %d/%d/%d",
@@ -68,7 +89,7 @@ func TestEngineStatsDeterministicTotals(t *testing.T) {
 
 	// Every processed event travelled exactly one of three paths: the
 	// flush-counted outbound mailbox path, the self-delivery fast path, or
-	// (for the single INIT) the external lane.
+	// (for the INITs) the external lane.
 	if es.MessagesSent+es.SelfDelivered+es.Events.Inits != es.Events.Total() {
 		t.Fatalf("MessagesSent %d + SelfDelivered %d + Inits %d != Total %d",
 			es.MessagesSent, es.SelfDelivered, es.Events.Inits, es.Events.Total())
@@ -77,7 +98,7 @@ func TestEngineStatsDeterministicTotals(t *testing.T) {
 		t.Fatal("a 4-rank chain ingest must self-deliver some events")
 	}
 	// Cascade emissions are exactly the callback-generated events: every
-	// processed algorithmic event except the external INIT, plus the
+	// processed algorithmic event except the external INITs, plus the
 	// emitted-but-coalesced-away updates that were never processed.
 	if want := es.Events.Algo() - es.Events.Inits + es.CombinedAway; es.CascadeEmits != want {
 		t.Fatalf("CascadeEmits = %d, want %d (combinedAway=%d)",
@@ -96,7 +117,7 @@ func TestEngineStatsDeterministicTotals(t *testing.T) {
 
 	// Per-rank rows must sum to the aggregate.
 	var sum core.EventCounts
-	var sent uint64
+	var sent, self, emits, combined uint64
 	for _, r := range es.PerRank {
 		sum.Adds += r.Events.Adds
 		sum.ReverseAdds += r.Events.ReverseAdds
@@ -105,6 +126,9 @@ func TestEngineStatsDeterministicTotals(t *testing.T) {
 		for _, n := range r.SentTo {
 			sent += n
 		}
+		self += r.SelfDelivered
+		emits += r.CascadeEmits
+		combined += r.CombinedAway
 	}
 	if sum != (core.EventCounts{Adds: es.Events.Adds, ReverseAdds: es.Events.ReverseAdds,
 		Updates: es.Events.Updates, Inits: es.Events.Inits}) {
@@ -112,6 +136,10 @@ func TestEngineStatsDeterministicTotals(t *testing.T) {
 	}
 	if sent != es.MessagesSent {
 		t.Fatalf("per-rank sent %d != aggregate %d", sent, es.MessagesSent)
+	}
+	if self != es.SelfDelivered || emits != es.CascadeEmits || combined != es.CombinedAway {
+		t.Fatalf("per-rank self/emits/combined %d/%d/%d != aggregate %d/%d/%d",
+			self, emits, combined, es.SelfDelivered, es.CascadeEmits, es.CombinedAway)
 	}
 }
 

@@ -436,19 +436,16 @@ func (t *TCPTransport) Send(from, dest int, batch []Event) {
 }
 
 // releaseInflight hands a shipped batch's in-flight registrations over to
-// the receiving node, mirroring rank.applyDecrements' zero-crossing duties
-// (minus the snapshot branch — snapshots never run distributed).
+// the receiving node, with the same zero-crossing duties as a processed
+// batch (Engine.retire).
 func (t *TCPTransport) releaseInflight(batch []Event) {
 	var dec [4]int64
 	for i := range batch {
 		dec[batch[i].Seq&3]++
 	}
 	for i, n := range dec {
-		if n != 0 && t.e.inflight[i].Add(-n) == 0 {
-			if t.e.streamsLeft.Load() == 0 || t.e.ingestHalted() {
-				t.e.wakeAll()
-			}
-			t.e.signalQuiesce()
+		if n != 0 {
+			t.e.retire(i, n)
 		}
 	}
 }
@@ -822,8 +819,15 @@ func (t *TCPTransport) handleFrame(p *tcpPeer, ver uint8, ft frameType, payload 
 		// receive counter (read by probe reports on this same goroutine) can
 		// account these events as arrived, the ring already counts them as
 		// local load, so a quiescent-and-counters-matched report is safe.
+		// One add per ring slot per frame, like releaseInflight's side.
+		var inc [4]int64
 		for i := range f.Events {
-			t.e.inflight[f.Events[i].Seq&3].Add(1)
+			inc[f.Events[i].Seq&3]++
+		}
+		for i, n := range inc {
+			if n != 0 {
+				t.e.inflight[i].Add(n)
+			}
 		}
 		t.e.ranks[f.Dest].inbox.push(int(f.From), f.Events)
 		p.recvEvents.Add(uint64(len(f.Events)))
@@ -1414,7 +1418,8 @@ func (t *TCPTransport) watchdog() {
 
 // progressFingerprint folds every counter that moves iff the node makes
 // real protocol progress: per-peer sent/received/acknowledged events,
-// per-rank processed-event totals, and the termination decision.
+// per-rank processed-event totals (published once per drained batch, so
+// they trail the rank by at most one batch), and the termination decision.
 func (t *TCPTransport) progressFingerprint() uint64 {
 	var fp uint64
 	for _, p := range t.peers {
@@ -1423,9 +1428,7 @@ func (t *TCPTransport) progressFingerprint() uint64 {
 		}
 	}
 	for _, r := range t.e.ranks {
-		for k := range r.counters.events {
-			fp += r.counters.events[k].Load()
-		}
+		fp += r.counters.totalEvents()
 	}
 	if t.decided.Load() {
 		fp++

@@ -49,9 +49,9 @@ const maxViolations = 16
 // checker is the invariant observer of one simulated run: it shadows
 // every flushed batch to verify per-sender FIFO delivery, watches each
 // processed event's snapshot version, audits in-flight-ring conservation
-// after every scheduler step, and (through the monitored program wrapper)
-// asserts that no callback ever moves a vertex against the program's
-// monotone direction.
+// after every scheduler step and at every flush, and (through the
+// monitored program wrapper) asserts that no callback ever moves a vertex
+// against the program's monotone direction.
 type checker struct {
 	d     *core.SimDriver
 	ord   order
@@ -120,10 +120,15 @@ func (c *checker) violatef(format string, args ...any) {
 }
 
 // onFlush records the true order of a flushed batch (installed as the
-// driver's flush hook, which runs before any mutation corrupts it).
+// driver's flush hook, which runs before any mutation corrupts it) and
+// audits conservation mid-step: a batch may leave its rank only once every
+// event in it is registered in the in-flight ring. Every scheduler step
+// ends by settling the rank's batched counts, so a late registration is
+// invisible to afterStep and only shows here.
 func (c *checker) onFlush(from, dest int, batch []core.Event) {
 	key := [2]int{from, dest}
 	c.fifo[key] = append(c.fifo[key], batch...)
+	c.conserved("at a flush", c.d.InHand())
 }
 
 // onProcess validates one event as the destination rank picks it up.
@@ -169,18 +174,23 @@ func (c *checker) onMerge(algo uint8, to graph.VertexID, old, offered, merged ui
 	}
 }
 
-// afterStep audits in-flight-ring conservation: no slot negative, and the
+// afterStep audits in-flight-ring conservation at the step boundary. Every
+// scheduler step ends at an event boundary where it must hold exactly.
+func (c *checker) afterStep() { c.conserved("after a step", 0) }
+
+// conserved audits in-flight-ring conservation: no slot negative, and the
 // ring total exactly equal to the number of events sitting in mailbox
-// lanes, outbound buffers, and self rings. Every scheduler step ends at an
-// event boundary where this must hold exactly.
-func (c *checker) afterStep() {
+// lanes, outbound buffers, and self rings plus the inHand events the
+// running step has taken out but not yet retired.
+func (c *checker) conserved(where string, inHand int) {
 	for i := 0; i < 4; i++ {
 		if n := c.d.InflightSlot(i); n < 0 {
-			c.violatef("conservation: in-flight ring slot %d is negative (%d)", i, n)
+			c.violatef("conservation %s: in-flight ring slot %d is negative (%d)", where, i, n)
 		}
 	}
-	if got, want := c.d.InflightTotal(), int64(c.d.BufferedEvents()); got != want {
-		c.violatef("conservation: in-flight ring counts %d but %d events are buffered", got, want)
+	if got, want := c.d.InflightTotal(), int64(c.d.BufferedEvents()+inHand); got != want {
+		c.violatef("conservation %s: in-flight ring counts %d but %d events are buffered or in hand",
+			where, got, want)
 	}
 }
 

@@ -295,6 +295,10 @@ func TestParseReplayRoundTrip(t *testing.T) {
 	if got.Deletes != 7 || got.Algo != CC {
 		t.Fatalf("churn round trip lost fields: %q → %+v", churn.Repro(), got)
 	}
+	small := SweepFailure{Cfg: Config{Algo: BFS, GraphSeed: 2, ScheduleSeed: 3, Ranks: 3, BatchSize: 2}}
+	if got, err := ParseReplay(small.Repro()); err != nil || got.BatchSize != 2 || got.Ranks != 3 {
+		t.Fatalf("batch round trip: %q → (%+v, %v)", small.Repro(), got, err)
+	}
 	// Pre-serve seed lines (no serve= field) must stay parseable.
 	if old, err := ParseReplay("algo=bfs,graph=1,sched=2,ranks=2,coalesce=on"); err != nil || old.Serve {
 		t.Fatalf("legacy line: (%+v, %v)", old, err)

@@ -31,6 +31,9 @@ func (f SweepFailure) Repro() string {
 		// the lines it already knows.
 		line += fmt.Sprintf(",deletes=%d", f.Cfg.Deletes)
 	}
+	if f.Cfg.BatchSize > 0 {
+		line += fmt.Sprintf(",batch=%d", f.Cfg.BatchSize)
+	}
 	return line
 }
 
@@ -105,6 +108,12 @@ func ParseReplay(s string) (Config, error) {
 				return Config{}, fmt.Errorf("sim: bad delete budget %q", v)
 			}
 			cfg.Deletes = n
+		case "batch":
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 {
+				return Config{}, fmt.Errorf("sim: bad batch size %q", v)
+			}
+			cfg.BatchSize = n
 		default:
 			return Config{}, fmt.Errorf("sim: unknown replay key %q", k)
 		}
@@ -112,8 +121,14 @@ func ParseReplay(s string) (Config, error) {
 	return cfg, nil
 }
 
+// sweepSmallBatch is the outbound batch size of the sweep's small-batch
+// seeds.
+const sweepSmallBatch = 2
+
 // Sweep runs seeds × all algorithms × coalescing on/off × churn off/on,
 // rotating the rank count with the seed, and returns every failing run.
+// Every third seed shrinks the outbound batch to sweepSmallBatch events, so
+// buffers fill and flush in the middle of a callback's emissions.
 // Every run serves the MVCC read plane, so the sweep validates lock-free
 // reads against the static oracle across the full matrix; the churn cells
 // additionally stream live deletions (and occasional re-adds) and check
@@ -127,6 +142,10 @@ func Sweep(seeds int, progress func(done, total int)) []SweepFailure {
 		for a := Algo(0); a < numAlgos; a++ {
 			for _, noCoal := range []bool{false, true} {
 				for _, deletes := range []int{0, 3 + seed%6} {
+					batch := 0
+					if seed%3 == 2 {
+						batch = sweepSmallBatch
+					}
 					cfg := Config{
 						Algo:         a,
 						GraphSeed:    int64(seed),
@@ -135,6 +154,7 @@ func Sweep(seeds int, progress func(done, total int)) []SweepFailure {
 						NoCoalesce:   noCoal,
 						Serve:        true,
 						Deletes:      deletes,
+						BatchSize:    batch,
 					}
 					if res := Run(cfg); res.Failed() {
 						failures = append(failures, SweepFailure{Cfg: cfg, Result: res})
