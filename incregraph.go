@@ -562,18 +562,13 @@ func (g *Graph) CheckpointMeta() CheckpointMeta { return g.eng.CheckpointMeta() 
 
 // LoadCheckpoint builds a fresh, not-yet-started Graph from a checkpoint
 // written by WriteCheckpoint. programs must match the writer's program set
-// in count and order; cfg's rank-affecting options are overridden by the
-// checkpoint's. For a checkpoint taken from a paused live run, re-attach
-// the interrupted streams from the offset CheckpointMeta reports and
-// Start: the run continues exactly where it paused.
+// in count and order; cfg's Ranks, Directed and WeightPolicy are
+// overridden by the checkpoint's, and every other option applies as in
+// New. For a checkpoint taken from a paused live run, re-attach the
+// interrupted streams from the offset CheckpointMeta reports and Start:
+// the run continues exactly where it paused.
 func LoadCheckpoint(r io.Reader, cfg Config, programs ...Program) (*Graph, error) {
-	eng, err := core.ReadCheckpoint(r, core.Options{
-		BatchSize:  cfg.BatchSize,
-		SmallCap:   cfg.SmallCap,
-		NoHybrid:   cfg.NoHybrid,
-		CompactCap: cfg.CompactCap,
-		AutoTune:   cfg.AutoTune,
-	}, programs...)
+	eng, err := core.ReadCheckpoint(r, coreOptions(cfg), programs...)
 	if err != nil {
 		return nil, err
 	}

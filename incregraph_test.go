@@ -182,6 +182,51 @@ func TestFacadeCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestFacadeCheckpointKeepsServe checks that LoadCheckpoint honours the
+// caller's non-rank options: a graph restored with Serve on serves the
+// restored values and the restored topology.
+func TestFacadeCheckpointKeepsServe(t *testing.T) {
+	const n = 30
+	g := incregraph.New(incregraph.Config{Ranks: 2}, incregraph.BFS())
+	g.InitVertex(0, 0)
+	if _, err := g.Run(incregraph.StreamEdges(gen.Path(n))); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := g.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := incregraph.LoadCheckpoint(&buf, incregraph.Config{Serve: true}, incregraph.BFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g2.Run(incregraph.StreamEdges(nil)); err != nil {
+		t.Fatal(err)
+	}
+	for v := incregraph.VertexID(0); v < n; v++ {
+		got, epoch := g2.ReadPoint(0, v)
+		if !got.Found || got.Val != uint64(v)+1 || epoch == 0 {
+			t.Fatalf("vertex %d served %+v at epoch %d, want level %d", v, got, epoch, v+1)
+		}
+		nodes, _ := g2.ReadNeighborhood(0, v, 1, n)
+		want := map[incregraph.VertexID]bool{}
+		if v > 0 {
+			want[v-1] = true
+		}
+		if v < n-1 {
+			want[v+1] = true
+		}
+		if len(nodes) != len(want)+1 {
+			t.Fatalf("vertex %d neighborhood %+v, want neighbours %v", v, nodes, want)
+		}
+		for _, nd := range nodes[1:] {
+			if !want[nd.Vertex] {
+				t.Fatalf("vertex %d neighborhood %+v, want neighbours %v", v, nodes, want)
+			}
+		}
+	}
+}
+
 func TestFacadeSignalAndDrain(t *testing.T) {
 	g := incregraph.New(incregraph.Config{Ranks: 2}, incregraph.DegreeTracker())
 	live := incregraph.NewLiveStream()

@@ -283,7 +283,8 @@ func ReadCheckpoint(r io.Reader, opts Options, programs ...Program) (*Engine, er
 				}
 				// All checkpointed edges belong to "the past": sequence 0
 				// keeps them visible to every future snapshot marker.
-				rk.store.AddEdge(id, graph.VertexID(nbr), graph.Weight(w), 0)
+				_, _, isNew := rk.store.AddEdge(id, graph.VertexID(nbr), graph.Weight(w), 0)
+				rk.mirrorAdd(slot, graph.VertexID(nbr), isNew)
 			}
 		}
 	}

@@ -318,17 +318,20 @@ func (r *rank) publishNow() {
 }
 
 // mirrorAdd reflects an edge insertion into the serve plane's adjacency
-// mirror: a brand-new half-edge appends, a duplicate may have merged its
-// weight under the store's policy — fetch the merged result and mirror
-// that (no-op if unchanged).
-func (r *rank) mirrorAdd(slot graph.Slot, nbr graph.VertexID, w graph.Weight, isNew bool) {
-	if r.pub == nil {
-		return
+// mirror. The plane serves topology only, so a duplicate insert (a weight
+// merge at most) leaves it untouched.
+func (r *rank) mirrorAdd(slot graph.Slot, nbr graph.VertexID, isNew bool) {
+	if r.pub != nil && isNew {
+		r.pub.EdgeAdded(slot, nbr)
 	}
-	if isNew {
-		r.pub.EdgeAdded(slot, nbr, w)
-	} else if merged, ok := r.store.EdgeWeight(slot, nbr); ok {
-		r.pub.EdgeWeight(slot, nbr, merged)
+}
+
+// mirrorDelete reflects the removal of the half-edge slot -> nbr into the
+// serve plane's adjacency mirror, handing over the store's post-delete
+// segment.
+func (r *rank) mirrorDelete(slot graph.Slot, nbr graph.VertexID) {
+	if r.pub != nil {
+		r.pub.EdgeDeleted(slot, nbr, r.store.Segment(slot))
 	}
 }
 
@@ -933,7 +936,7 @@ func (r *rank) insertEdge(ev *Event) graph.Slot {
 	if created {
 		r.growValues(slot)
 	}
-	r.mirrorAdd(slot, ev.From, ev.W, isNew)
+	r.mirrorAdd(slot, ev.From, isNew)
 	return slot
 }
 
@@ -1147,10 +1150,8 @@ func (r *rank) handleDelete(ev *Event) {
 	// callbacks only for a resolvable vertex and fall back to Unset for
 	// the reverse notification's carried value.
 	slot, ok := r.store.SlotOf(ev.To)
-	if r.pub != nil && ok {
-		r.pub.EdgeDeleted(slot, ev.From)
-	}
 	if ok {
+		r.mirrorDelete(slot, ev.From)
 		r.growValues(slot)
 		for a, p := range r.eng.programs {
 			if wp := r.eng.witness[a]; wp != nil {
@@ -1201,10 +1202,8 @@ func (r *rank) handleReverseDelete(ev *Event) {
 			// Mirror before the program-level early returns: the reverse
 			// edge is gone from the store regardless of what the programs
 			// do.
-			if r.pub != nil {
-				if slot, ok := r.store.SlotOf(ev.To); ok {
-					r.pub.EdgeDeleted(slot, ev.From)
-				}
+			if slot, ok := r.store.SlotOf(ev.To); ok {
+				r.mirrorDelete(slot, ev.From)
 			}
 		}
 	}

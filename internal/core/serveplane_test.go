@@ -75,11 +75,23 @@ func TestServeFinalStateMatchesCollect(t *testing.T) {
 	}
 
 	// Neighborhood of the init root: every returned node's value must
-	// match collect, and depth-1 nodes must be store neighbors.
-	nodes, _ := e.ReadNeighborhood(0, edges[0].Src, 2, 1000)
-	if len(nodes) == 0 || nodes[0].Vertex != edges[0].Src {
+	// match collect, and the depth-1 nodes must be exactly the root's
+	// neighbours in the (undirected) input.
+	root := edges[0].Src
+	nbrs := map[graph.VertexID]bool{}
+	for _, ed := range edges {
+		if ed.Src == root && ed.Dst != root {
+			nbrs[ed.Dst] = true
+		}
+		if ed.Dst == root && ed.Src != root {
+			nbrs[ed.Src] = true
+		}
+	}
+	nodes, _ := e.ReadNeighborhood(0, root, 2, 1000)
+	if len(nodes) == 0 || nodes[0].Vertex != root {
 		t.Fatalf("neighborhood: %+v", nodes)
 	}
+	depth1 := 0
 	for _, n := range nodes {
 		if !n.Found {
 			t.Fatalf("unreached node in neighborhood of an existing root: %+v", n)
@@ -87,6 +99,15 @@ func TestServeFinalStateMatchesCollect(t *testing.T) {
 		if n.Val != want[n.Vertex] {
 			t.Fatalf("neighborhood vertex %d = %d, want %d", n.Vertex, n.Val, want[n.Vertex])
 		}
+		if n.Depth == 1 {
+			depth1++
+			if !nbrs[n.Vertex] {
+				t.Fatalf("depth-1 node %d is not a neighbour of %d", n.Vertex, root)
+			}
+		}
+	}
+	if depth1 != len(nbrs) {
+		t.Fatalf("neighborhood of %d has %d depth-1 nodes, want %d", root, depth1, len(nbrs))
 	}
 
 	st := e.EngineStats()
@@ -103,16 +124,27 @@ func TestServeFinalStateMatchesCollect(t *testing.T) {
 
 // TestServeConcurrentReadsDuringRun hammers the read plane from several
 // goroutines while ingestion runs (the -race workhorse for the lock-free
-// read path), asserting per-vertex epoch monotonicity and BFS-value
-// monotonicity (values only ever tighten downward once set).
+// read path), asserting per-vertex epoch monotonicity. The add-only case
+// also asserts BFS-value monotonicity (values only ever tighten downward
+// once set). The churn case reads a neighbourhood on every iteration, so
+// the segment and tail swaps that deletes make race with readers.
 func TestServeConcurrentReadsDuringRun(t *testing.T) {
 	edges := gen.ErdosRenyi(400, 6000, 1, 11)
+	t.Run("add", func(t *testing.T) {
+		concurrentServeReads(t, edges[0].Src, stream.Split(edges, 4), false)
+	})
+	t.Run("churn", func(t *testing.T) {
+		concurrentServeReads(t, edges[0].Src, stream.SplitEventsByPair(gen.Churn(edges, 0.25, 11), 4), true)
+	})
+}
+
+func concurrentServeReads(t *testing.T, root graph.VertexID, streams []stream.Stream, churn bool) {
 	e := core.New(core.Options{
 		Ranks: 4, Undirected: true,
 		Serve: true, ServeEvery: 200 * time.Microsecond,
 	}, algo.BFS{})
-	e.InitVertex(0, edges[0].Src)
-	if err := e.Start(stream.Split(edges, 4)); err != nil {
+	e.InitVertex(0, root)
+	if err := e.Start(streams); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -139,7 +171,7 @@ func TestServeConcurrentReadsDuringRun(t *testing.T) {
 					return
 				}
 				lastEpoch[v] = epoch
-				if val.Found && val.Val != 0 {
+				if !churn && val.Found && val.Val != 0 {
 					if prev := lastVal[v]; prev != 0 && val.Val > prev {
 						t.Errorf("BFS value regressed for %d: %d -> %d", v, prev, val.Val)
 						return
@@ -149,7 +181,9 @@ func TestServeConcurrentReadsDuringRun(t *testing.T) {
 				buf = buf[:0]
 				buf, _ = e.ReadBatch(0, []graph.VertexID{v, v + 1, v + 7}, buf)
 				_ = buf
-				if rng%64 == 0 {
+				if churn {
+					e.ReadNeighborhood(0, v, 2, 128)
+				} else if rng%64 == 0 {
 					e.ReadTopK(0, 8, serve.DirMin)
 					e.ReadNeighborhood(0, v, 2, 128)
 				}

@@ -282,6 +282,17 @@ func (d *SimDriver) ServePublishDue(rank int) bool {
 // rank's own goroutine would do, at a legal event boundary.
 func (d *SimDriver) ServePublish(rank int) { d.e.ranks[rank].publishNow() }
 
+// StoreNeighbors calls fn with every vertex of rank's shard and its
+// stored half-edges (segment then delta; allocates per vertex) — the
+// ground truth the serve plane's published adjacency is checked against.
+func (d *SimDriver) StoreNeighbors(rank int, fn func(v graph.VertexID, adj []graph.HalfEdge)) {
+	s := d.e.ranks[rank].store
+	s.ForEachVertex(func(slot graph.Slot, id graph.VertexID) bool {
+		fn(id, s.AdjEntries(slot))
+		return true
+	})
+}
+
 // CompactPending counts vertices queued for hybrid-tier compaction on
 // rank's shard. Zero when the hybrid tier is off.
 func (d *SimDriver) CompactPending(rank int) int {

@@ -210,9 +210,8 @@ func (s *Store) AddEdge(src, dst VertexID, w Weight, seq uint32) (srcSlot Slot, 
 	if i := segFind(a.seg, dst); i >= 0 {
 		// Segment-resident duplicate: merge the weight under the policy and
 		// lower the stored seq. If the segment array has been handed out by
-		// reference (serve-plane handoff at compaction) the change clones
-		// first — the same copy-on-write discipline serve.Publisher applies
-		// to its own mirror; a private segment mutates in place.
+		// reference (serve-plane handoff) the change clones first; a private
+		// segment mutates in place.
 		merged := s.mergeWeight(a.seg[i].W, w)
 		mseq := a.seg[i].Seq
 		if seq < mseq {

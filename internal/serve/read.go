@@ -259,12 +259,19 @@ func (p *Plane) Neighborhood(algo int, root graph.VertexID, depth, limit int) ([
 		if !ok || cur.d >= depth {
 			continue
 		}
-		for _, he := range seg.adj[slot] {
-			if visited[he.Nbr] {
-				continue
+		visit := func(nbr graph.VertexID) {
+			if !visited[nbr] {
+				visited[nbr] = true
+				queue = append(queue, qent{nbr, cur.d + 1})
 			}
-			visited[he.Nbr] = true
-			queue = append(queue, qent{he.Nbr, cur.d + 1})
+		}
+		// Indexed so the loop reads only Nbr, never a whole HalfEdge.
+		adj := seg.segs[slot]
+		for i := range adj {
+			visit(adj[i].Nbr)
+		}
+		for _, nbr := range seg.tails[slot] {
+			visit(nbr)
 		}
 	}
 	return out, epoch

@@ -20,9 +20,10 @@ import (
 //     touch indexes >= n (disjoint), and a growth reallocation leaves the
 //     old array — which published headers still point at — intact.
 //   - vals are private copies made at publish.
-//   - adj holds slice headers copied at publish; the owner only mutates
-//     the underlying arrays append-beyond-len or copy-on-write
-//     (Publisher), so every index < len stays frozen.
+//   - segs and tails hold slice headers copied at publish: segs alias the
+//     store's compacted segments, which are immutable once handed off;
+//     tails are mutated only append-beyond-len or copy-on-write
+//     (Publisher). Either way every index < len stays frozen.
 //   - idx is insert-only and shared across a publisher's segments; it may
 //     gain entries for slots >= n after publication, which the n bounds
 //     check in lookups rejects. A growth rebuild allocates a fresh table,
@@ -35,7 +36,8 @@ type Segment struct {
 	n     int
 	ids   []graph.VertexID
 	vals  [][]uint64
-	adj   [][]graph.HalfEdge
+	segs  [][]graph.HalfEdge // per slot: compacted segment (only Nbr is read)
+	tails [][]graph.VertexID // per slot: neighbours added since compaction
 	idx   *table
 }
 

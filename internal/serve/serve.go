@@ -9,12 +9,18 @@
 //     (from its own goroutine, at an event boundary — never mid-event)
 //     builds an immutable Segment — vertex values copied, adjacency slice
 //     headers copied — and swaps it in with one atomic pointer store.
+//   - Served adjacency is topology only (neighbour IDs; weights are not
+//     served). Each vertex's adjacency is two parts: the store's
+//     compacted segment, shared by reference, and a tail of the
+//     neighbours added since that vertex's last compaction. Nothing is
+//     copied per edge beyond the tail's own ID (see Publisher).
 //   - Readers load the pointer, and from then on see a frozen, internally
 //     consistent view: the segment's value arrays are private copies, its
-//     adjacency headers point at arrays the rank only mutates
-//     copy-on-write or append-beyond-published-length (see Publisher), and
-//     its index only ever *gains* entries past the segment's bound (which
-//     the bounds check rejects).
+//     adjacency headers point at arrays nobody writes below the published
+//     length (store segments are immutable once handed off, tails are
+//     append-beyond-published-length or copy-on-write), and its index
+//     only ever *gains* entries past the segment's bound (which the
+//     bounds check rejects).
 //   - No locks anywhere on the read path, no barrier, no rank parking:
 //     publication costs the owner O(V) slice-header+value copies, reads
 //     cost a hash probe plus array indexing.
@@ -139,22 +145,29 @@ func (p *Plane) StatsSnapshot() Stats {
 // must be called from the owning rank's goroutine only; readers never
 // touch a Publisher.
 //
-// The publisher mirrors the rank's adjacency under a copy-on-write
-// discipline keyed to what published segments can see:
+// The publisher mirrors the rank's topology — neighbour IDs only; weights
+// are not served — as two parts per vertex:
 //
-//   - appending a new half-edge in place is safe: it writes an index >=
-//     the length any published slice header recorded, and if append
-//     reallocates, published headers keep the old array;
-//   - changing a weight or deleting an entry must clone the slice first,
-//     because published headers may alias the current array at indexes
-//     a concurrent reader is allowed to touch.
+//   - seg, the store's compacted segment held by reference. The store
+//     never writes to a segment it has handed out (graph.Store.Segment
+//     marks it shared; weight merges clone it, deletes always clone), so
+//     it needs no copy here.
+//   - tail, an append-only list of the neighbours added since the
+//     vertex's last compaction (the whole adjacency when the store never
+//     compacts). Appending in place is safe: it writes an index >= the
+//     length any published slice header recorded, and if append
+//     reallocates, published headers keep the old array. Removing an
+//     entry clones the tail first, because published headers may alias
+//     the current array at indexes a concurrent reader is allowed to
+//     touch.
 type Publisher struct {
 	p    *Plane
 	rank int
 
-	adj  [][]graph.HalfEdge // working adjacency mirror, indexed by slot
-	idx  *table             // insert-only vertex-id -> slot index
-	idxN int                // ids[0:idxN] already inserted into idx
+	segs  [][]graph.HalfEdge // per slot: the store's compacted segment, by reference
+	tails [][]graph.VertexID // per slot: neighbours added since the last compaction
+	idx   *table             // insert-only vertex-id -> slot index
+	idxN  int                // ids[0:idxN] already inserted into idx
 
 	lastEvents uint64 // rank event-counter value at the last full publish
 	published  bool   // has this publisher ever published?
@@ -172,77 +185,55 @@ func (pub *Publisher) Due() bool {
 	return pub.p.segs[pub.rank].due.Load()
 }
 
-// EdgeAdded mirrors a brand-new half-edge slot -> nbr. Append-in-place is
-// safe under the COW discipline (see type comment).
-func (pub *Publisher) EdgeAdded(slot graph.Slot, nbr graph.VertexID, w graph.Weight) {
+// EdgeAdded mirrors a brand-new half-edge slot -> nbr by appending it to
+// the vertex's tail (see the type comment for why in place is safe).
+// Duplicate inserts change no topology and are not mirrored.
+func (pub *Publisher) EdgeAdded(slot graph.Slot, nbr graph.VertexID) {
 	s := int(slot)
-	for len(pub.adj) <= s {
-		pub.adj = append(pub.adj, nil)
+	for len(pub.tails) <= s {
+		pub.tails = append(pub.tails, nil)
 	}
-	pub.adj[s] = append(pub.adj[s], graph.HalfEdge{Nbr: nbr, W: w})
+	pub.tails[s] = append(pub.tails[s], nbr)
 }
 
-// EdgeWeight mirrors a weight change on an existing half-edge (duplicate
-// insert merged by the store's weight policy). No-op if the mirrored
-// weight already matches; otherwise clones the slice (readers may alias
-// the current array).
-func (pub *Publisher) EdgeWeight(slot graph.Slot, nbr graph.VertexID, w graph.Weight) {
-	s := int(slot)
-	if s >= len(pub.adj) {
-		return
-	}
-	old := pub.adj[s]
-	for i := range old {
-		if old[i].Nbr != nbr {
-			continue
-		}
-		if old[i].W == w {
-			return
-		}
-		clone := make([]graph.HalfEdge, len(old))
-		copy(clone, old)
-		clone[i].W = w
-		pub.adj[s] = clone
-		return
-	}
-}
-
-// EdgeDeleted mirrors removal of the half-edge slot -> nbr, cloning the
-// slice without the entry.
-func (pub *Publisher) EdgeDeleted(slot graph.Slot, nbr graph.VertexID) {
-	s := int(slot)
-	if s >= len(pub.adj) {
-		return
-	}
-	old := pub.adj[s]
-	for i := range old {
-		if old[i].Nbr != nbr {
-			continue
-		}
-		clone := make([]graph.HalfEdge, 0, len(old)-1)
-		clone = append(clone, old[:i]...)
-		clone = append(clone, old[i+1:]...)
-		pub.adj[s] = clone
-		return
-	}
-}
-
-// SegmentCompacted replaces the vertex's mirrored adjacency with the
-// store's freshly compacted segment, shared by reference. Sound because
-// the store's segments are immutable-once-built and allocated with
-// len == cap (weight merges and deletes clone; an append through an
-// aliased header must reallocate), and at the compaction instant the
-// mirror and the segment hold the same (Nbr, W) set — every merge that
-// touched the segment was also mirrored. The segment additionally carries
-// real Seq tags where the mirror held zeroes; read-plane traversals only
-// consume Nbr (and W for point reads), so the extra field is inert.
-// Published slice headers keep aliasing whatever array they recorded.
+// SegmentCompacted installs the store's freshly compacted segment for
+// the vertex, which now holds every tail entry, and empties the tail.
+// Published slice headers keep the old arrays.
 func (pub *Publisher) SegmentCompacted(slot graph.Slot, seg []graph.HalfEdge) {
 	s := int(slot)
-	for len(pub.adj) <= s {
-		pub.adj = append(pub.adj, nil)
+	pub.setSeg(s, seg)
+	if s < len(pub.tails) {
+		pub.tails[s] = nil
 	}
-	pub.adj[s] = seg
+}
+
+// EdgeDeleted mirrors removal of the half-edge slot -> nbr. seg is the
+// store's segment after the delete (a fresh clone when nbr lived there,
+// the unchanged segment otherwise); nbr is clone-removed from the tail if
+// it lived there instead.
+func (pub *Publisher) EdgeDeleted(slot graph.Slot, nbr graph.VertexID, seg []graph.HalfEdge) {
+	s := int(slot)
+	pub.setSeg(s, seg)
+	if s >= len(pub.tails) {
+		return
+	}
+	old := pub.tails[s]
+	for i := range old {
+		if old[i] != nbr {
+			continue
+		}
+		clone := make([]graph.VertexID, 0, len(old)-1)
+		clone = append(clone, old[:i]...)
+		pub.tails[s] = append(clone, old[i+1:]...)
+		return
+	}
+}
+
+func (pub *Publisher) setSeg(s int, seg []graph.HalfEdge) {
+	for len(pub.segs) <= s {
+		pub.segs = append(pub.segs, nil)
+	}
+	pub.segs[s] = seg
 }
 
 // Publish builds and swaps in a fresh segment for this rank: ids is the
@@ -281,8 +272,12 @@ func (pub *Publisher) Publish(ids []graph.VertexID, vals [][]uint64, events uint
 		copy(col, vals[a])
 		seg.vals[a] = col
 	}
-	seg.adj = make([][]graph.HalfEdge, n)
-	copy(seg.adj, pub.adj) // pub.adj may be shorter: tail stays nil
+	// The working columns may be shorter than n: the missing slots read
+	// as empty.
+	seg.segs = make([][]graph.HalfEdge, n)
+	copy(seg.segs, pub.segs)
+	seg.tails = make([][]graph.VertexID, n)
+	copy(seg.tails, pub.tails)
 
 	seg.epoch.Store(epoch)
 	slot.seg.Store(seg)

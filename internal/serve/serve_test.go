@@ -57,12 +57,12 @@ func (w *pubWorld) set(v graph.VertexID, val uint64) {
 	w.events[r]++
 }
 
-func (w *pubWorld) addEdge(from, to graph.VertexID, weight graph.Weight) {
+func (w *pubWorld) addEdge(from, to graph.VertexID) {
 	r := w.part.Owner(from)
 	if _, ok := w.slots[r][from]; !ok {
 		w.set(from, 0)
 	}
-	w.pubs[r].EdgeAdded(w.slots[r][from], to, weight)
+	w.pubs[r].EdgeAdded(w.slots[r][from], to)
 	w.events[r]++
 }
 
@@ -213,10 +213,10 @@ func TestNeighborhoodBFS(t *testing.T) {
 	for v := graph.VertexID(1); v <= 5; v++ {
 		w.set(v, uint64(v)*10)
 	}
-	w.addEdge(1, 2, 1)
-	w.addEdge(2, 3, 1)
-	w.addEdge(3, 4, 1)
-	w.addEdge(1, 5, 1)
+	w.addEdge(1, 2)
+	w.addEdge(2, 3)
+	w.addEdge(3, 4)
+	w.addEdge(1, 5)
 	w.publishAll()
 
 	nodes, _ := w.plane.Neighborhood(0, 1, 2, 100)
@@ -252,27 +252,68 @@ func TestNeighborhoodBFS(t *testing.T) {
 
 func TestCopyOnWriteIsolation(t *testing.T) {
 	w := newPubWorld(1)
-	w.set(1, 1)
-	w.set(2, 2)
-	w.addEdge(1, 2, 7)
+	for v := graph.VertexID(1); v <= 6; v++ {
+		w.set(v, uint64(v))
+	}
+	slot := w.slots[0][1]
+	pub := w.pubs[0]
+	seg := []graph.HalfEdge{{Nbr: 2, W: 7}} // a compacted store segment
+	pub.SegmentCompacted(slot, seg)
+	w.addEdge(1, 3)
+	w.addEdge(1, 5)
+	w.addEdge(1, 6) // tail: len 3, cap 4
 	w.publishAll()
-	seg := w.plane.segs[0].seg.Load()
+	published := w.plane.segs[0].seg.Load()
 
 	// Mutations after publish must not disturb the published view.
-	w.addEdge(1, 3, 9) // in-place append beyond published len
-	w.pubs[0].EdgeWeight(w.slots[0][1], 2, 99)
-	w.pubs[0].EdgeDeleted(w.slots[0][1], 2)
-	slot := uint64(w.slots[0][1])
-	if got := seg.adj[slot]; len(got) != 1 || got[0].Nbr != 2 || got[0].W != 7 {
-		t.Fatalf("published adjacency mutated: %+v", got)
+	w.addEdge(1, 4)               // in-place append beyond published len
+	pub.EdgeDeleted(slot, 3, seg) // tail removal clones
+	pub.EdgeDeleted(slot, 2, nil) // the store's post-delete segment
+	if got := published.segs[slot]; len(got) != 1 || got[0].Nbr != 2 {
+		t.Fatalf("published segment mutated: %+v", got)
+	}
+	if got := published.tails[slot]; len(got) != 3 || got[0] != 3 || got[1] != 5 || got[2] != 6 {
+		t.Fatalf("published tail mutated: %+v", got)
 	}
 
 	// And the next publish sees all of them applied.
 	w.plane.Advance()
 	w.publishAll()
 	nodes, _ := w.plane.Neighborhood(0, 1, 1, 10)
-	if len(nodes) != 2 || nodes[1].Vertex != 3 {
+	got := map[graph.VertexID]bool{}
+	for _, n := range nodes[1:] {
+		got[n.Vertex] = true
+	}
+	if len(nodes) != 4 || !got[4] || !got[5] || !got[6] {
 		t.Fatalf("post-mutation neighborhood: %+v", nodes)
+	}
+}
+
+// TestCompactionEmptiesTail checks that a compaction hands the whole
+// adjacency to the segment: the next publish serves the segment and an
+// empty tail, and the previously published view keeps its tail.
+func TestCompactionEmptiesTail(t *testing.T) {
+	w := newPubWorld(1)
+	w.set(1, 1)
+	slot := w.slots[0][1]
+	w.addEdge(1, 3)
+	w.addEdge(1, 2)
+	w.publishAll()
+	before := w.plane.segs[0].seg.Load()
+
+	w.pubs[0].SegmentCompacted(slot, []graph.HalfEdge{{Nbr: 2}, {Nbr: 3}})
+	w.events[0]++
+	w.plane.Advance()
+	w.publishAll()
+	after := w.plane.segs[0].seg.Load()
+	if len(after.segs[slot]) != 2 || len(after.tails[slot]) != 0 {
+		t.Fatalf("after compaction: seg %+v, tail %+v", after.segs[slot], after.tails[slot])
+	}
+	if len(before.segs[slot]) != 0 || len(before.tails[slot]) != 2 {
+		t.Fatalf("earlier view changed: seg %+v, tail %+v", before.segs[slot], before.tails[slot])
+	}
+	if nodes, _ := w.plane.Neighborhood(0, 1, 1, 10); len(nodes) != 3 {
+		t.Fatalf("neighborhood after compaction: %+v", nodes)
 	}
 }
 
@@ -351,7 +392,7 @@ func TestConcurrentReadersUnderChurn(t *testing.T) {
 			for j := 0; j < 8; j++ {
 				v := graph.VertexID(rng.Intn(64) + 1)
 				w.set(v, uint64(i+1))
-				w.addEdge(v, graph.VertexID(rng.Intn(64)+1), graph.Weight(j+1))
+				w.addEdge(v, graph.VertexID(rng.Intn(64)+1))
 			}
 			w.plane.Advance()
 			w.publishAll()

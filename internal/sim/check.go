@@ -251,6 +251,39 @@ func (c *checker) observeServe(v graph.VertexID, val serve.Value, epoch uint64) 
 	c.lastServe[v] = serveObs{epoch: epoch, val: val.Val, found: val.Found}
 }
 
+// checkServedAdjacency runs right after rank published: each of its
+// vertices' depth-1 served neighbourhood must be exactly the vertex's
+// stored neighbour set. Self-loops are left out because a neighbourhood
+// read never revisits its root.
+func (c *checker) checkServedAdjacency(d *core.SimDriver, rank int) {
+	d.StoreNeighbors(rank, func(v graph.VertexID, adj []graph.HalfEdge) {
+		want := make(map[graph.VertexID]bool, len(adj))
+		for _, he := range adj {
+			if he.Nbr != v {
+				want[he.Nbr] = true
+			}
+		}
+		// One slot past the root and the wanted set, so an extra served
+		// neighbour shows as a longer answer.
+		nodes, _ := d.Engine().ReadNeighborhood(0, v, 1, len(want)+2)
+		if len(nodes) == 0 || !nodes[0].Found {
+			c.violatef("serve: rank %d published without its vertex %d", rank, v)
+			return
+		}
+		ok := len(nodes)-1 == len(want)
+		for _, n := range nodes[1:] {
+			ok = ok && want[n.Vertex]
+		}
+		if !ok {
+			served := make([]graph.VertexID, 0, len(nodes)-1)
+			for _, n := range nodes[1:] {
+				served = append(served, n.Vertex)
+			}
+			c.violatef("serve: vertex %d served neighbours %v, store holds %v", v, served, adj)
+		}
+	})
+}
+
 // finalChecks runs once the engine has terminated: every flushed event
 // must have been delivered, and the final state must subsume every value
 // ever observed by a query.

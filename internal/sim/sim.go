@@ -465,6 +465,7 @@ func Run(cfg Config) Result {
 			// Churn runs record no floor: a delete after the quiescent cut
 			// legitimately pushes served values back below its fixpoint.
 			d.ServePublish(act.rank)
+			chk.checkServedAdjacency(d, act.rank)
 			if ch == nil {
 				if quietEdges != floorEdges || quietInits != floorInits {
 					floorEdges, floorInits = quietEdges, quietInits
@@ -521,9 +522,11 @@ func Run(cfg Config) Result {
 	if cfg.Serve {
 		// A forced publish at termination (what the concurrent engine's
 		// exit() does) must make the read plane agree with Collect exactly
-		// — no staleness left once ingestion has quiesced for good.
+		// — no staleness left once ingestion has quiesced for good — and
+		// serve exactly the stored adjacency.
 		for r := 0; r < cfg.Ranks; r++ {
 			d.ServePublish(r)
+			chk.checkServedAdjacency(d, r)
 			res.ServePublishes++
 		}
 		servedFinal := make(map[graph.VertexID]uint64, len(final))
